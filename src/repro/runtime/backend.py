@@ -129,13 +129,17 @@ def available_backends() -> tuple[str, ...]:
 
 def checksum(arrays: MutableMapping[str, np.ndarray]) -> str:
     """Deterministic digest of a set of named arrays (name, shape and
-    exact float bits), machine-independent for IEEE-754 arithmetic."""
+    exact float bits), machine-independent for IEEE-754 arithmetic.
+
+    A C-contiguous array is hashed straight from its buffer; only other
+    layouts pay a contiguous copy.  The bytes are those of
+    ``arr.tobytes()`` either way."""
     digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         digest.update(name.encode())
         digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
+        digest.update(arr)
     return digest.hexdigest()[:16]
 
 

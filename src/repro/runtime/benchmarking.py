@@ -69,12 +69,21 @@ class PreparedKernel:
     compile_seconds: float = 0.0
     cache_stats: dict = field(default_factory=dict)
 
-    def alloc(self) -> dict[str, np.ndarray]:
+    def alloc(self, arena=None) -> dict[str, np.ndarray]:
+        """Fresh seeded arrays in ``[1, 2)``: private, or views placed in
+        ``arena`` (a :class:`~repro.runtime.pool.SharedArena`).  Both
+        fill in place from the same generator, so the bits match."""
+        shapes = {d.name: d.concrete_shape(self.params)
+                  for d in self.program.arrays}
+        if arena is not None:
+            arrays = arena.place(shapes)
+        else:
+            arrays = {name: np.empty(shape) for name, shape in shapes.items()}
         rng = np.random.default_rng(self.seed)
-        return {
-            d.name: rng.random(d.concrete_shape(self.params)) + 1.0
-            for d in self.program.arrays
-        }
+        for arr in arrays.values():
+            rng.random(out=arr)
+            arr += 1.0
+        return arrays
 
     @property
     def shape(self) -> str:
@@ -193,53 +202,69 @@ def execute_prepared(
     ``sync`` selects the phase synchronization for the mp/mpjit backends
     (``"p2p"``/``"barrier"``; None keeps the runner's default, p2p).
 
-    Array allocation happens outside the timed region; the run itself —
-    including any backend setup such as shared-memory creation for ``mp``
-    and ``mpjit`` (and, on the first run, spawning the mpjit worker pool)
-    — is what the clock sees.  When ``prep`` carries precompiled jit
-    modules (and no interpreter verification is requested) they run
-    directly — serially for ``jit``, through the persistent pool for
-    ``mpjit``; otherwise execution goes through the backend registry.
+    Array allocation and the checksum happen outside the timed region;
+    the run itself — including backend setup such as shared-memory
+    creation for ``mp`` and, on the first ``mpjit`` run, spawning the
+    worker pool — is what the clock sees.  When ``prep`` carries
+    precompiled jit modules (and no interpreter verification is
+    requested) they run directly — serially for ``jit``, through the
+    persistent pool for ``mpjit``; otherwise execution goes through the
+    backend registry.  On that direct ``mpjit`` path the arrays are
+    allocated in the pool's resident arena, so the run neither copies
+    them into shared memory nor back; the views are dropped before this
+    call returns.
     """
-    arrays = prep.alloc()
-    totals = {"fused_iterations": 0, "peeled_iterations": 0}
-    if prep.modules is not None and not verify:
-        if backend == "mpjit":
-            from .pool import run_mpjit_module
+    direct = prep.modules is not None and not verify
+    arena = None
+    seconds = 0.0
+    if direct and backend == "mpjit":
+        from .pool import release_retired, resident_arena, run_mpjit_module
 
-            cache = default_cache()
-            cache_root = str(cache.root) if cache.persist else None
-        run_modules = prep.modules
-        if backend == "cjit" and prep.native_modules is not None:
-            run_modules = prep.native_modules  # native tier; else jit fallback
+        cache = default_cache()
+        cache_root = str(cache.root) if cache.persist else None
         t0 = time.perf_counter()
-        for module in run_modules:
-            if backend == "mpjit":
-                stats = run_mpjit_module(module, arrays,
-                                         max_workers=max_workers,
-                                         cache_root=cache_root,
-                                         sync=sync or "p2p")
-            else:
-                stats = module.run(arrays)
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        seconds = time.perf_counter() - t0
+        nprocs = max((m.nprocs for m in prep.modules), default=1)
+        arena = resident_arena(nprocs, max_workers, sync or "p2p")
+        seconds = time.perf_counter() - t0  # a pool spawn is run time
+    if not direct:
+        be = get_backend(backend)
+        options: dict = {}
+        if backend in ("jit", "mpjit", "cjit") and no_cache:
+            options["no_cache"] = True
+        if backend in ("mp", "mpjit") and max_workers is not None:
+            options["max_workers"] = max_workers
+        if backend in ("mp", "mpjit") and sync is not None:
+            options["sync"] = sync
+    arrays = prep.alloc(arena)
+    totals = {"fused_iterations": 0, "peeled_iterations": 0}
+    try:
+        t0 = time.perf_counter()
+        if direct:
+            run_modules = prep.modules
+            if backend == "cjit" and prep.native_modules is not None:
+                run_modules = prep.native_modules  # else jit fallback
+            for module in run_modules:
+                if backend == "mpjit":
+                    stats = run_mpjit_module(module, arrays,
+                                             max_workers=max_workers,
+                                             cache_root=cache_root,
+                                             sync=sync or "p2p")
+                else:
+                    stats = module.run(arrays)
+                for key in totals:
+                    totals[key] += stats.get(key, 0)
+        else:
+            for ep in prep.plans:
+                stats = be.run(ep, arrays, strip=strip, verify=verify,
+                               **options)
+                for key in totals:
+                    totals[key] += stats.get(key, 0)
+        seconds += time.perf_counter() - t0
         return seconds, totals, checksum(arrays)
-    be = get_backend(backend)
-    options: dict = {}
-    if backend in ("jit", "mpjit", "cjit") and no_cache:
-        options["no_cache"] = True
-    if backend in ("mp", "mpjit") and max_workers is not None:
-        options["max_workers"] = max_workers
-    if backend in ("mp", "mpjit") and sync is not None:
-        options["sync"] = sync
-    t0 = time.perf_counter()
-    for ep in prep.plans:
-        stats = be.run(ep, arrays, strip=strip, verify=verify, **options)
-        for key in totals:
-            totals[key] += stats.get(key, 0)
-    seconds = time.perf_counter() - t0
-    return seconds, totals, checksum(arrays)
+    finally:
+        arrays.clear()  # arena views never outlive this call
+        if arena is not None:
+            release_retired()
 
 
 def _prep_signature(prep: PreparedKernel) -> str:

@@ -27,10 +27,13 @@ This module lowers the *same* plan to whole-array numpy operations:
   the first casualty and raises :class:`FastExecError` carrying the
   worker's traceback instead of hanging on a dead peer.
 
-The shared-memory plumbing (:func:`export_arrays` / :func:`attach_arrays`
-/ :func:`collect_worker_results`) is reused by the persistent-pool
-``mpjit`` backend (:mod:`repro.runtime.pool`), which executes jit-compiled
-per-processor entry points instead of interpreting boxes.
+The per-run shared-memory plumbing (:func:`export_arrays` /
+:func:`attach_arrays` / :func:`copy_back_arrays` /
+:func:`release_segments`) serves ``mp`` only.  The persistent-pool
+``mpjit`` backend (:mod:`repro.runtime.pool`), which executes
+jit-compiled per-processor entry points instead of interpreting boxes,
+keeps its arrays in a resident arena and reuses
+:func:`collect_worker_results` and the sync primitives.
 
 Both backends return the same counters as
 :func:`~repro.runtime.parallel.run_parallel` so callers can sanity-check

@@ -17,14 +17,23 @@ interpreter.  This module closes the gap:
   already emitted and persisted it) and pays one ``compile()`` — never an
   emission; the task carries the source inline as a last-resort fallback
   for non-persistent caches;
+* the arrays live in one resident shared-memory **arena** per pool
+  (:class:`SharedArena`): a single segment, every array at a 64-byte
+  aligned offset, grown on demand and never shrunk, unlinked when the
+  pool shuts down.  :func:`repro.runtime.benchmarking.execute_prepared`
+  allocates a run's arrays *in* the arena, so a task carries only the
+  arena's name and each array's ``(offset, shape, dtype)``; a worker
+  maps the arena once per generation and keeps the mapping.  Arrays the
+  caller owns (the registry's :func:`run_mpjit`) are staged: copied into
+  the arena before the run and back after it.  No segment is created,
+  attached or unlinked per run;
 * one run is the paper's two-phase schedule: every worker calls
-  ``run_fused(proc, arrays)`` for its assigned processors over
-  ``multiprocessing.shared_memory``, synchronizes, then calls
-  ``run_peeled(proc, arrays)``.  The synchronization is point-to-point
-  by default (``sync="p2p"``): each processor signals a preallocated
-  "fused done" event as its fused phase completes, and each peeled
-  phase waits only on the events of its named predecessors — the
-  module's ``PEEL_DEPS`` map, derived by
+  ``run_fused(proc, arrays)`` for its assigned processors over the
+  arena, synchronizes, then calls ``run_peeled(proc, arrays)``.  The
+  synchronization is point-to-point by default (``sync="p2p"``): each
+  processor signals a preallocated "fused done" event as its fused phase
+  completes, and each peeled phase waits only on the events of its
+  named predecessors — the module's ``PEEL_DEPS`` map, derived by
   :func:`repro.core.syncdeps.peel_predecessors` — instead of on the
   slowest peer.  ``sync="barrier"`` keeps the paper's single global
   barrier (also the automatic fallback for plans with more processors
@@ -53,7 +62,9 @@ with no active plan pays one ``None`` comparison.
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
+import sys
 import threading
 import time
 from typing import Mapping, MutableMapping, Optional, Sequence
@@ -66,11 +77,7 @@ from .fastexec import (
     P2PSync,
     SyncAborted,
     _resolve_workers,
-    attach_arrays,
     collect_worker_results,
-    copy_back_arrays,
-    export_arrays,
-    release_segments,
     sync_timeout,
 )
 
@@ -106,6 +113,218 @@ def _drain_queue(queue, seconds: float = 0.1) -> None:
         except (Empty, OSError, ValueError):
             if time.monotonic() >= deadline:
                 return
+
+
+#: Alignment of every array placed in a :class:`SharedArena` (one cache
+#: line, so no two arrays share a line across processes).
+ARENA_ALIGN = 64
+
+#: Unlinked arena segments whose mapping still backs live views (a pool
+#: replaced while a run held views into its arena); unmapped by
+#: :func:`release_retired` once the views are gone.
+_retired: list = []
+_retired_lock = threading.Lock()
+
+
+def _view(buf, offset: int, shape: tuple, dtype) -> np.ndarray:
+    """An array over ``buf`` that holds a buffer export, so the segment
+    cannot be unmapped under it (``close`` raises BufferError instead);
+    ``np.ndarray(buffer=...)`` would hold none."""
+    count = int(np.prod(shape, dtype=np.int64))
+    return np.frombuffer(buf, dtype=dtype, count=count,
+                         offset=offset).reshape(shape)
+
+
+def _close_unused(segments: list) -> list:
+    """Close every segment no view still uses; returns the others."""
+    kept = []
+    for seg in segments:
+        try:
+            seg.close()
+        except BufferError:
+            kept.append(seg)
+    return kept
+
+
+def release_retired() -> None:
+    """Unmap retired arena segments whose views have all been dropped."""
+    with _retired_lock:
+        _retired[:] = _close_unused(_retired)
+
+
+class SharedArena:
+    """A pool's resident shared-memory segment holding a run's arrays.
+
+    :meth:`place` lays the arrays out at :data:`ARENA_ALIGN`-aligned
+    offsets and returns views into the segment.  When they do not fit,
+    the arena moves to a new, larger segment (a new *generation*, which
+    workers map on first sight) and unlinks the old one; it never
+    shrinks.  Views must not outlive the run that placed them: growing
+    or closing unmaps the old segment, and a segment still backing live
+    views is unlinked at once but unmapped only later
+    (:func:`release_retired`), never under the views.
+    """
+
+    def __init__(self) -> None:
+        self.segment = None
+        self.generation = 0
+        self.closed = False
+        self._base = 0
+        self._lock = threading.Lock()
+
+    @property
+    def name(self) -> Optional[str]:
+        return self.segment.name if self.segment is not None else None
+
+    @property
+    def nbytes(self) -> int:
+        return self.segment.size if self.segment is not None else 0
+
+    def place(self, shapes: Mapping[str, tuple],
+              dtypes: Optional[Mapping[str, object]] = None
+              ) -> dict[str, np.ndarray]:
+        """Uninitialized views for ``shapes`` (name -> shape; float64
+        unless ``dtypes`` names another), growing the arena if needed."""
+        kinds = {name: np.dtype((dtypes or {}).get(name, np.float64))
+                 for name in shapes}
+        offsets: dict[str, int] = {}
+        end = 0
+        for name, shape in shapes.items():
+            offsets[name] = end
+            nbytes = int(np.prod(shape, dtype=np.int64)) * kinds[name].itemsize
+            end += -(-nbytes // ARENA_ALIGN) * ARENA_ALIGN
+        with self._lock:
+            self._reserve(end)
+            buf = self.segment.buf
+        release_retired()
+        return {name: _view(buf, offsets[name], shape, kinds[name])
+                for name, shape in shapes.items()}
+
+    def _reserve(self, nbytes: int) -> None:
+        if self.closed:
+            raise FastExecError("the worker pool's arena is closed")
+        if self.segment is not None and self.segment.size >= nbytes:
+            return
+        from multiprocessing import shared_memory
+
+        pages = -(-max(nbytes, 1) // mmap.PAGESIZE)
+        segment = shared_memory.SharedMemory(create=True,
+                                             size=pages * mmap.PAGESIZE)
+        probe = np.frombuffer(segment.buf, dtype=np.uint8, count=1)
+        self._base = probe.ctypes.data
+        del probe
+        old, self.segment = self.segment, segment
+        self.generation += 1
+        if old is not None:
+            _discard(old)
+
+    def locate(self, arrays: Mapping[str, np.ndarray]) -> Optional[tuple]:
+        """The ``((name, offset, shape, dtype), ...)`` layout of
+        ``arrays`` if every one is a C-contiguous view inside the current
+        segment, else None (they must be staged)."""
+        if self.segment is None:
+            return None
+        low, high = self._base, self._base + self.segment.size
+        layout = []
+        for name, arr in arrays.items():
+            addr = arr.__array_interface__["data"][0]
+            if (not arr.flags.c_contiguous or addr < low
+                    or addr + arr.nbytes > high):
+                return None
+            layout.append((name, addr - low, arr.shape, arr.dtype.str))
+        return tuple(layout)
+
+    def stage(self, arrays: Mapping[str, np.ndarray]) -> tuple[dict, tuple]:
+        """Copy caller-owned ``arrays`` into the arena: (views, layout)."""
+        views = self.place({k: a.shape for k, a in arrays.items()},
+                           {k: a.dtype for k, a in arrays.items()})
+        for name, arr in arrays.items():
+            views[name][...] = arr
+        return views, self.locate(views)
+
+    def close(self) -> None:
+        """Unlink the segment (idempotent); unmap it once unused."""
+        with self._lock:
+            self.closed = True
+            old, self.segment = self.segment, None
+        if old is not None:
+            _discard(old)
+
+
+def _discard(segment) -> None:
+    """Unlink an arena segment now; unmap it now or once unused."""
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
+    with _retired_lock:
+        _retired.append(segment)
+    release_retired()
+
+
+def _attach_arena(name: str):
+    """Map arena segment ``name`` in a worker.
+
+    The pool starts the parent's resource tracker before it forks, so
+    workers share it.  Python 3.13 can attach untracked; older versions
+    register every attach, which here re-adds a name the parent already
+    registered (the tracker keeps a set) and so changes nothing.  A
+    worker must not unregister: that would cancel the parent's own
+    registration, and the parent's unlink would then fail in the
+    tracker.
+    """
+    from multiprocessing import shared_memory
+
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    return shared_memory.SharedMemory(name=name)
+
+
+def _context():
+    """The pool's multiprocessing context (fork where available).
+
+    Starts the resource tracker first: forked workers then share the
+    parent's tracker (spawned ones are handed it anyway), so an arena
+    segment is tracked by its owner alone."""
+    import multiprocessing as mp
+    from multiprocessing import resource_tracker
+
+    methods = mp.get_all_start_methods()
+    if "fork" not in methods:
+        return mp.get_context("spawn")
+    resource_tracker.ensure_running()
+    return mp.get_context("fork")
+
+
+class _ResultPipe:
+    """Worker → parent result channel that writes in the caller's thread.
+
+    A ``multiprocessing.Queue`` writes from a feeder thread, under a lock
+    shared by every writer.  A worker that dies just after reporting (an
+    injected crash at the start of its next task) can die while its
+    feeder still holds that lock, and every peer's next report then
+    blocks forever.  Here ``put`` returns only once the message is in
+    the pipe and the lock is free again.  The parent is the only reader.
+    """
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, obj) -> None:
+        with self._lock:
+            self._writer.send(obj)
+
+    def get(self, timeout: Optional[float] = None):
+        from queue import Empty
+
+        if not self._reader.poll(timeout):
+            raise Empty
+        return self._reader.recv()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
 
 
 def _apply_worker_fault(fault: Optional[dict]) -> None:
@@ -159,15 +378,19 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
     """One long-lived worker: loop over tasks until the ``None`` sentinel.
 
     Each task executes one plan's two-phase schedule for this worker's
-    assigned processors, synchronizing through the global barrier or
-    point-to-point per the task's sync mode.  Errors are shipped to the
-    parent as formatted tracebacks; a failure releases the peers by
-    aborting both primitives (whichever the peers are parked on).
+    assigned processors over views into the pool's arena, synchronizing
+    through the global barrier or point-to-point per the task's sync
+    mode.  The arena is mapped once per generation and the mapping kept
+    across tasks.  Errors are shipped to the parent as formatted
+    tracebacks; a failure releases the peers by aborting both primitives
+    (whichever the peers are parked on).
     """
     import threading
     import traceback
 
     modules: dict = {}
+    arena = None       # this worker's mapping of the current generation
+    stale: list = []   # earlier generations a cached view may still use
     while True:
         task = task_queue.get()
         if task is None:
@@ -177,16 +400,24 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
             # answers (tasks are consumed in queue order)
             result_queue.put((worker_id, True, (_CONTROL, task[1])))
             continue
-        (signature, cache_root, source, specs, proc_indices, sync_mode,
-         fault) = task
-        segments: list = []
+        (signature, cache_root, source, arena_name, layout, proc_indices,
+         sync_mode, fault) = task
         arrays: dict[str, np.ndarray] = {}
         try:
             try:
                 module, load_mode = _load_module(
                     modules, signature, cache_root, source
                 )
-                arrays = attach_arrays(specs, segments)
+                if arena is None or arena.name != arena_name:
+                    mapped = _attach_arena(arena_name)
+                    if arena is not None:
+                        stale.append(arena)
+                    arena = mapped
+                    stale = _close_unused(stale)
+                arrays = {
+                    name: _view(arena.buf, offset, shape, dtype)
+                    for name, offset, shape, dtype in layout
+                }
                 if _test_worker_hook is not None:
                     _test_worker_hook(worker_id, signature)
                 _apply_worker_fault(fault)
@@ -236,8 +467,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
                 p2p.abort()
         finally:
             del arrays
-            for seg in segments:
-                seg.close()
 
 
 class WorkerPool:
@@ -252,20 +481,19 @@ class WorkerPool:
     the task queues — and indexed by *processor*, so it is reused across
     runs of any plan that fits; the parent clears the used slots before
     each p2p dispatch (runs are strictly serialized, every worker has
-    reported before the next dispatch).
+    reported before the next dispatch).  The :class:`SharedArena` holds
+    the arrays of every run and lives exactly as long as the pool.
     """
 
     def __init__(self, nworkers: int) -> None:
-        import multiprocessing as mp
-
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         t0 = time.perf_counter()
+        ctx = _context()
         self.nworkers = nworkers
+        self.arena = SharedArena()
         self.barrier = ctx.Barrier(nworkers)
         self.p2p = P2PSync([ctx.Event() for _ in range(P2P_EVENT_SLOTS)],
                            ctx.Event())
-        self.result_queue = ctx.Queue()
+        self.result_queue = _ResultPipe(ctx)
         self.task_queues = [ctx.Queue() for _ in range(nworkers)]
         self.workers = {
             w: ctx.Process(
@@ -300,10 +528,12 @@ class WorkerPool:
         self.p2p.abort()
 
     def run_module(self, module, assignment: Sequence[Sequence[int]],
-                   specs: Mapping[str, tuple],
+                   layout: tuple,
                    cache_root: Optional[str],
                    sync: str = "p2p") -> tuple[int, int]:
-        """Submit one two-phase execution; returns (fused, peeled) totals.
+        """Submit one two-phase execution over the arrays at ``layout``
+        in the arena (:meth:`SharedArena.locate`); returns (fused,
+        peeled) totals.
 
         Any worker failure marks the pool broken (the shared sync
         primitives are aborted and cannot be reused) and re-raises
@@ -325,8 +555,9 @@ class WorkerPool:
                     if plan is not None else {})
         for w, procs in enumerate(assignment):
             self.task_queues[w].put(
-                (module.signature, cache_root, module.source, specs,
-                 tuple(procs), sync, injected.get(w))
+                (module.signature, cache_root, module.source,
+                 self.arena.name, layout, tuple(procs), sync,
+                 injected.get(w))
             )
         try:
             results = collect_worker_results(
@@ -345,9 +576,10 @@ class WorkerPool:
     def respawn_dead(self, settle_seconds: float = 2.0) -> int:
         """Replace dead workers in place; returns how many were re-forked.
 
-        Warm survivors keep their compiled-module caches and the
-        existing queues / barrier / event table are reused — only the
-        corpses pay a fork.  Safe only after a *p2p*-mode failure: a
+        Warm survivors keep their compiled-module caches and arena
+        mappings, and the existing queues / barrier / event table /
+        arena are reused — only the corpses pay a fork (and map the
+        arena on their first task).  Safe only after a *p2p*-mode failure: a
         worker killed inside ``Barrier.wait`` can leave the barrier's
         internal lock held, so the supervisor routes barrier-mode
         casualties to a full teardown instead.
@@ -360,13 +592,11 @@ class WorkerPool:
         to settle within ``settle_seconds`` (caller falls back to a
         full respawn).
         """
-        import multiprocessing as mp
         from queue import Empty
 
         if self.closed:
             raise FastExecError("cannot respawn into a closed pool")
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        ctx = _context()
         dead = [w for w, p in self.workers.items() if not p.is_alive()]
         alive = [w for w in self.workers if w not in dead]
         self._control_token += 1
@@ -414,7 +644,8 @@ class WorkerPool:
         return len(dead)
 
     def shutdown(self) -> None:
-        """Stop every worker (sentinel, then terminate stragglers).
+        """Stop every worker (sentinel, then terminate stragglers), then
+        unlink the arena.
 
         Idempotent: a second call returns immediately, so a daemon's
         SIGTERM drain path and the interpreter's atexit hook can both
@@ -442,6 +673,7 @@ class WorkerPool:
                 q.close()
             except (OSError, ValueError):  # pragma: no cover - queue gone
                 pass
+        self.arena.close()
         self.broken = True
 
     #: Explicit alias for daemon shutdown paths: ``pool.close()`` reads
@@ -483,6 +715,7 @@ def shutdown_pool() -> None:
         if _pool is not None:
             _pool.shutdown()
             _pool = None
+    release_retired()
 
 
 atexit.register(shutdown_pool)
@@ -496,7 +729,8 @@ def pool_stats() -> dict:
     if _pool is None:
         return {"alive": False, "spawns": _spawns, "nworkers": 0,
                 "runs": 0, "spawn_seconds": 0.0, "last_sync": None,
-                "respawns": respawns}
+                "respawns": respawns, "arena_bytes": 0,
+                "arena_generation": 0}
     return {
         "alive": _pool.healthy(),
         "spawns": _spawns,
@@ -507,7 +741,33 @@ def pool_stats() -> dict:
         "last_sync": _pool.last_sync,
         "p2p_slots": P2P_EVENT_SLOTS,
         "respawns": respawns,
+        "arena_bytes": _pool.arena.nbytes,
+        "arena_generation": _pool.arena.generation,
     }
+
+
+def _checked_workers(nprocs: int, max_workers: Optional[int],
+                     sync: str) -> int:
+    """Worker count for an ``nprocs`` plan, after validating the sync
+    mode and the env knobs in the parent, before anything is spawned: a
+    typo'd REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError
+    naming the variable instead of a worker traceback."""
+    if sync not in ("p2p", "barrier"):
+        raise FastExecError(f"unknown sync mode {sync!r}")
+    sync_timeout()
+    from .faults import active_plan
+
+    active_plan()
+    return _resolve_workers(nprocs, max_workers)
+
+
+def resident_arena(nprocs: int, max_workers: Optional[int] = None,
+                   sync: str = "p2p") -> Optional[SharedArena]:
+    """The arena of the pool an ``nprocs``-processor run dispatches to
+    (spawning the pool if needed), or None when the run bypasses the
+    pool (one worker).  Arrays placed in it run without staging."""
+    nworkers = _checked_workers(nprocs, max_workers, sync)
+    return get_pool(nworkers).arena if nworkers > 1 else None
 
 
 def run_mpjit_module(
@@ -524,32 +784,34 @@ def run_mpjit_module(
     barrier.  The processors are dealt round-robin across
     ``min(nprocs, cores)`` workers (``max_workers`` overrides the core
     count).  With one worker the pool is bypassed entirely — the module
-    runs serially in-process, which is bit-identical by construction."""
-    if sync not in ("p2p", "barrier"):
-        raise FastExecError(f"unknown sync mode {sync!r}")
-    # Validate the env knobs in the parent, before anything is spawned:
-    # a typo'd REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError
-    # naming the variable instead of a worker traceback.
-    sync_timeout()
-    from .faults import active_plan
+    runs serially in-process, which is bit-identical by construction.
 
-    active_plan()
-    nprocs = module.nprocs
-    nworkers = _resolve_workers(nprocs, max_workers)
+    Arrays already placed in the pool's arena (:func:`resident_arena`)
+    run where they are.  Any others are staged: copied into the arena
+    and, after the run, back into ``arrays``.  That also covers a pool
+    replaced since the arrays were placed (a worker died in between):
+    the old arena is unlinked but stays mapped under the caller's
+    views."""
+    nworkers = _checked_workers(module.nprocs, max_workers, sync)
     if nworkers == 1:
         return module.run(arrays)
-    segments: dict = {}
+    nprocs = module.nprocs
     pool = None
+    staged = None
     try:
-        segments, specs = export_arrays(arrays)
         assignment = [
             tuple(range(w, nprocs, nworkers)) for w in range(nworkers)
         ]
         pool = get_pool(nworkers)
+        layout = pool.arena.locate(arrays)
+        if layout is None:
+            staged, layout = pool.arena.stage(arrays)
         fused, peeled = pool.run_module(
-            module, assignment, specs, cache_root, sync=sync
+            module, assignment, layout, cache_root, sync=sync
         )
-        copy_back_arrays(arrays, segments)
+        if staged is not None:
+            for name, arr in arrays.items():
+                arr[...] = staged[name]
         return {"fused_iterations": fused, "peeled_iterations": peeled}
     except FastExecError as exc:
         # The shared sync primitives are aborted and the pool is marked
@@ -568,7 +830,8 @@ def run_mpjit_module(
             raise
         raise ExecError(failure) from exc
     finally:
-        release_segments(segments)
+        if staged is not None:
+            staged.clear()  # no arena view outlives the run
 
 
 def run_mpjit(

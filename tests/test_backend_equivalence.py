@@ -385,6 +385,40 @@ class TestBackendRegistry:
         again["b"][0, 0] = 7.0
         assert checksum(arrays) != checksum(again)
 
+    @staticmethod
+    def _tobytes_checksum(arrays):
+        """The digest as it was first defined: a ``tobytes`` copy per
+        array.  ``checksum`` hashes the buffer directly instead."""
+        import hashlib
+
+        digest = hashlib.sha256()
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name])
+            digest.update(name.encode())
+            digest.update(str(arr.shape).encode())
+            digest.update(arr.tobytes())
+        return digest.hexdigest()[:16]
+
+    def test_checksum_pinned_digest(self):
+        arrays = {"a": np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
+                  "b": np.linspace(1.0, 2.0, 5)}
+        assert checksum(arrays) == "28687f6530932110"
+        assert checksum(arrays) == self._tobytes_checksum(arrays)
+
+    def test_checksum_matches_tobytes_on_any_layout(self):
+        base = np.random.default_rng(3).random((6, 8)) + 1.0
+        layouts = {
+            "transposed": base.T,
+            "strided": base[::2, 1::3],
+            "reversed": base[::-1],
+            "fortran": np.asfortranarray(base),
+            "empty": np.empty((0, 4)),
+            "empty_slice": base[3:3],
+        }
+        for label, arr in layouts.items():
+            arrays = {"x": arr, "y": base}
+            assert checksum(arrays) == self._tobytes_checksum(arrays), label
+
 
 class TestCliExec:
     def test_exec_json(self, tmp_path, capsys):

@@ -508,3 +508,172 @@ class TestPoolLifecycle:
         assert counters["fused_iterations"] > 0
         assert pool_stats()["spawns"] == spawns + 1
         assert pool_stats()["alive"] is True
+
+
+def _prep(kernel="jacobi", n=17):
+    from repro.runtime.benchmarking import prepare_kernel
+
+    return prepare_kernel(kernel, n=n, procs=4, backend="mpjit")
+
+
+def _interp_digest(kernel, n):
+    from repro.runtime.benchmarking import execute_prepared, prepare_kernel
+
+    prep = prepare_kernel(kernel, n=n, procs=4, backend="interp")
+    return execute_prepared(prep, "interp")[2]
+
+
+class TestResidentArena:
+    """The pool's shared-memory arena: arrays are allocated in it, workers
+    map it once per generation, and no segment is created, attached or
+    unlinked per run."""
+
+    @pytest.mark.parametrize("kernel", ["jacobi", "ll18", "calc", "filter"])
+    def test_paper_kernels_bit_identical_to_interp(self, kernel,
+                                                   leak_check):
+        from repro.runtime.benchmarking import execute_prepared
+
+        prep = _prep(kernel, n=33)
+        runs = pool_stats()["runs"]
+        _, _, digest = execute_prepared(prep, "mpjit", max_workers=2)
+        stats = pool_stats()
+        assert stats["runs"] - runs == len(prep.modules)  # no bypass
+        assert stats["arena_generation"] >= 1
+        assert digest == _interp_digest(kernel, 33)
+
+    def test_small_large_small_grows_once_never_shrinks(self, leak_check):
+        from repro.runtime.benchmarking import execute_prepared
+
+        execute_prepared(_prep(n=17), "mpjit", max_workers=2)
+        small = pool_stats()
+        execute_prepared(_prep(n=65), "mpjit", max_workers=2)
+        large = pool_stats()
+        execute_prepared(_prep(n=17), "mpjit", max_workers=2)
+        again = pool_stats()
+        assert large["arena_generation"] == small["arena_generation"] + 1
+        assert large["arena_bytes"] > small["arena_bytes"]
+        assert again["arena_generation"] == large["arena_generation"]
+        assert again["arena_bytes"] == large["arena_bytes"]
+        assert again["spawns"] == small["spawns"]
+
+    def test_no_segment_per_run(self, leak_check):
+        """Warm runs neither create nor unlink shared-memory segments."""
+        from repro.runtime.benchmarking import execute_prepared
+
+        prep = _prep()
+        execute_prepared(prep, "mpjit", max_workers=2)
+        before = _shm_entries()
+        if before is None:
+            pytest.skip("no /dev/shm on this platform")
+        for _ in range(3):
+            execute_prepared(prep, "mpjit", max_workers=2)
+            run_mpjit(_plan(), _arrays(), max_workers=2)  # staged
+        assert _shm_entries() == before
+
+    @needs_fork
+    def test_inplace_respawn_reattaches_arena(self, leak_check):
+        from repro.runtime import faults
+        from repro.runtime.benchmarking import execute_prepared
+        from repro.runtime.supervisor import ExecError, default_supervisor
+
+        prep = _prep()
+        _, _, expected = execute_prepared(prep, "mpjit", max_workers=2)
+        arena = pool_mod._pool.arena.name
+        spawns = pool_stats()["spawns"]
+        faults.install_plan(faults.FaultPlan.parse(
+            "crash@run=1:worker=1:exitcode=41", source="test"))
+        with pytest.raises(ExecError) as excinfo:
+            execute_prepared(prep, "mpjit", max_workers=2)
+        assert excinfo.value.failure.kind == "worker_crash"
+        faults.install_plan(None)
+        default_supervisor().wait(timeout=10.0)
+        assert pool_stats()["spawns"] == spawns  # repaired in place
+        assert default_supervisor().stats()["respawns"] >= 1
+        _, _, digest = execute_prepared(prep, "mpjit", max_workers=2)
+        assert digest == expected
+        assert pool_mod._pool.arena.name == arena  # same generation
+
+    def test_staged_path_writes_back_into_callers_arrays(self, leak_check):
+        from repro.runtime import run_parallel
+
+        ep = _plan()
+        base = _arrays()
+        ref = {k: v.copy() for k, v in base.items()}
+        run_parallel(ep, ref)
+        got = {k: v.copy() for k, v in base.items()}
+        held = dict(got)
+        run_mpjit(ep, got, max_workers=2)
+        assert pool_stats()["arena_generation"] == 1  # staged, not bypassed
+        for name in ref:
+            assert got[name] is held[name]
+            assert np.array_equal(ref[name], got[name]), name
+
+    @needs_fork
+    def test_pool_replaced_between_alloc_and_dispatch(self, leak_check):
+        """A worker dies after the arrays were placed in the arena: the
+        replaced pool's arena is not closed under the live views, the
+        run stages into the new pool's arena, and the bits still match."""
+        import signal
+
+        from repro.runtime.benchmarking import execute_prepared
+
+        prep = _prep()
+        _, _, expected = execute_prepared(prep, "mpjit", max_workers=2)
+        spawns = pool_stats()["spawns"]
+        old_arena = pool_mod._pool.arena.name
+        alloc = prep.alloc
+
+        def alloc_then_kill(arena=None):
+            arrays = alloc(arena)
+            victim = pool_mod._pool.workers[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            return arrays
+
+        prep.alloc = alloc_then_kill
+        _, _, digest = execute_prepared(prep, "mpjit", max_workers=2)
+        del prep.alloc
+        assert digest == expected
+        assert pool_stats()["spawns"] == spawns + 1
+        assert pool_mod._pool.arena.name != old_arena
+        assert pool_mod._retired == []  # unmapped once the views went
+        shm = _shm_entries()
+        if shm is not None:
+            assert old_arena not in shm
+
+    def test_shutdown_leaves_no_shm_entry(self, leak_check):
+        from repro.runtime.benchmarking import execute_prepared
+
+        if _shm_entries() is None:
+            pytest.skip("no /dev/shm on this platform")
+        execute_prepared(_prep(), "mpjit", max_workers=2)
+        name = pool_mod._pool.arena.name
+        assert name in _shm_entries()
+        shutdown_pool()
+        assert name not in _shm_entries()
+
+    def test_run_then_shutdown_prints_no_tracker_warning(self):
+        """Workers never cancel the parent's tracker registration: a run,
+        an arena growth and a shutdown leave the resource tracker quiet
+        (no "leaked shared_memory" warning, no tracker traceback)."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.runtime.benchmarking import execute_prepared, "
+            "prepare_kernel\n"
+            "from repro.runtime.pool import shutdown_pool\n"
+            "for n in (17, 65, 17):\n"
+            "    prep = prepare_kernel('jacobi', n=n, procs=4, "
+            "backend='mpjit')\n"
+            "    execute_prepared(prep, 'mpjit', max_workers=2)\n"
+            "shutdown_pool()\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "leaked" not in done.stderr
+        assert "Traceback" not in done.stderr
