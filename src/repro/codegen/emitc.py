@@ -9,7 +9,12 @@ translation unit with the identical module shape:
 
 * one function per processor phase (``_fused_p<i>`` / ``_peeled_p<i>``),
   every fused box and peeled rectangle as literal ``for`` loops with the
-  plan's parameters folded into the bounds;
+  plan's parameters folded into the bounds.  With a ``strip``, the fused
+  phase is the strip-mined loop of the paper's Fig. 12 in C: loops over
+  position-space tiles in lexicographic order and, per tile, each nest
+  in sequence order with its bounds clamped to the tile
+  (``repro_max``/``repro_min``), so source size grows with the number
+  of nests, not of tiles;
 * the same exported metadata the Python module carries — signature,
   ``NPROCS``, per-processor iteration counts and the ``PEEL_DEPS``
   point-to-point sync map — as ``REPRO_*`` symbols, so a cold process can
@@ -30,10 +35,16 @@ statements (identical subscripts, or a dimension with provably disjoint
 index ranges) become direct elementwise loops, anything else evaluates
 into a scratch buffer first and stores after — exactly numpy's
 semantics.  Scalar (non-vectorized) dimensions stay ordered outer loops
-in both tiers, so dependences they carry behave identically.  Arithmetic
-is plain IEEE-754 double with the same expression-tree shape numpy
-evaluates, compiled with ``-O2`` and **without** ``-ffast-math``, so
-every element's value is bit-identical.
+in both tiers, so dependences they carry behave identically.  Inside
+them, each statement's vector dimensions are ordered by the target's
+subscripts: the dimension indexing the last (stride-1, row-major)
+subscript runs innermost, ties keep IR order.  Element order there is
+free — a direct statement's hazard analysis proved it irrelevant, a
+buffered one fills and stores in the same order — so this only buys
+locality.  Arithmetic is plain IEEE-754 double with the same
+expression-tree shape numpy evaluates, compiled with ``-O2``,
+**without** ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
+multiply-add), so every element's value is bit-identical.
 
 The compiled ``.so`` is cached by :mod:`repro.runtime.plancache` next to
 the ``.py`` source, keyed by the structural plan signature *plus* a
@@ -67,10 +78,14 @@ from .emitpy import CODEGEN_VERSION, JitEmitError, _box_volume
 
 IND = "    "
 
-#: Exactly what the issue gates on: portable IEEE-754 codegen.  No
-#: ``-ffast-math`` (would break bit-identity), no ``-march`` (the cache
-#: may be shared between machines of one ISA family).
-CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Portable, bit-identical IEEE-754 codegen.  No ``-ffast-math``
+#: (reassociation breaks bit-identity), no ``-march`` (the cache may be
+#: shared between machines of one ISA family), and ``-ffp-contract=off``:
+#: GCC's GNU-C default ``-ffp-contract=fast`` fuses ``a*b+c`` into one
+#: FMA (a single rounding) wherever the target has FMA — aarch64 at
+#: baseline, x86 once ``-mfma``/``-march`` arrives via the compiler or
+#: a ``$REPRO_CC`` wrapper — and numpy rounds the product first.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 ENV_CC = "REPRO_CC"
 
@@ -267,15 +282,26 @@ class _CBoxCtx:
     vector sub-box on its own — with a buffered store when it reads its
     own target at potentially overlapping locations (numpy evaluates
     the whole RHS before storing; C must too, there).
+
+    ``box`` drives the hazard analysis and, by default, the literal loop
+    bounds.  ``bounds`` may replace those with C expressions (the
+    strip-mined tile clamps); ``box`` must then contain every range they
+    take, which keeps the analysis sound, and ``extents`` caps each
+    dimension's trip count for sizing the scratch buffer.
     """
 
     def __init__(self, nest: LoopNest, box, vdims: tuple[int, ...],
-                 params, layout: _ArrayLayout) -> None:
+                 params, layout: _ArrayLayout, bounds=None,
+                 extents=None) -> None:
         self.nest = nest
         self.box = box
         self.vdims = vdims
         self.params = params
         self.layout = layout
+        self.bounds = bounds or tuple((str(lo), str(hi)) for lo, hi in box)
+        self.extents = extents or tuple(
+            max(0, hi - lo + 1) for lo, hi in box
+        )
         self.vvar_dim = {nest.loops[d].var: d for d in vdims}
         self.svars = {
             nest.loops[d].var for d in range(nest.depth) if d not in vdims
@@ -379,15 +405,34 @@ class _CBoxCtx:
             return f"(-{self.expr_c(expr.operand)})"
         raise CJitEmitError(f"cannot lower expression {expr!r}")
 
-    def _vloops(self, depth: int) -> tuple[list[str], int]:
+    def loop_line(self, d: int, depth: int) -> str:
+        lo, hi = self.bounds[d]
+        var = f"v_{self.nest.loops[d].var}"
+        return (f"{IND * depth}for (long {var} = {lo}; {var} <= {hi}; "
+                f"{var}++) {{")
+
+    def vorder(self, stmt) -> list[int]:
+        """``stmt``'s vector dims, outermost first, ordered by the last
+        target subscript each one indexes: the dimension behind the
+        stride-1 (last, row-major) subscript runs innermost.  Ties keep
+        IR order.  Any order is legal here: a direct statement's hazard
+        analysis proved element order irrelevant, a buffered one
+        evaluates its whole RHS before storing, and ``vector_dims``
+        makes the write map injective."""
+        subs = stmt.target.subscripts
+
+        def last_subscript(d: int) -> int:
+            var = self.nest.loops[d].var
+            return max((p for p, sub in enumerate(subs) if sub.coeff(var)),
+                       default=-1)
+
+        return sorted(self.vdims, key=last_subscript)
+
+    def _vloops(self, order: Sequence[int],
+                depth: int) -> tuple[list[str], int]:
         lines = []
-        for d in self.vdims:
-            lo, hi = self.box[d]
-            var = f"v_{self.nest.loops[d].var}"
-            lines.append(
-                f"{IND * depth}for (long {var} = {lo}; {var} <= {hi}; "
-                f"{var}++) {{"
-            )
+        for d in order:
+            lines.append(self.loop_line(d, depth))
             depth += 1
         return lines, depth
 
@@ -396,12 +441,9 @@ class _CBoxCtx:
         ``depth``; returns (lines, scratch doubles needed)."""
         store = f"a_{stmt.target.array}[{self.addr_c(stmt.target)}]"
         rhs = self.expr_c(stmt.rhs)
-        vbox_volume = 1
-        for d in self.vdims:
-            lo, hi = self.box[d]
-            vbox_volume *= max(0, hi - lo + 1)
+        order = self.vorder(stmt)
         if not self.stmt_needs_buffer(stmt):
-            lines, inner = self._vloops(depth)
+            lines, inner = self._vloops(order, depth)
             lines.append(f"{IND * inner}{store} = {rhs};")
             for level in range(inner - 1, depth - 1, -1):
                 lines.append(f"{IND * level}}}")
@@ -409,28 +451,29 @@ class _CBoxCtx:
         # Buffered store: evaluate the whole RHS first (numpy semantics),
         # then copy it into place in the same traversal order.
         lines = [f"{IND * depth}{{ long _k = 0;"]
-        loops, inner = self._vloops(depth + 1)
+        loops, inner = self._vloops(order, depth + 1)
         lines.extend(loops)
         lines.append(f"{IND * inner}_buf[_k++] = {rhs};")
         for level in range(inner - 1, depth, -1):
             lines.append(f"{IND * level}}}")
         lines.append(f"{IND * (depth + 1)}_k = 0;")
-        loops, inner = self._vloops(depth + 1)
+        loops, inner = self._vloops(order, depth + 1)
         lines.extend(loops)
         lines.append(f"{IND * inner}{store} = _buf[_k++];")
         for level in range(inner - 1, depth, -1):
             lines.append(f"{IND * level}}}")
         lines.append(f"{IND * depth}}}")
-        return lines, vbox_volume
+        return lines, math.prod(self.extents[d] for d in self.vdims)
 
 
 def emit_box_c(nest: LoopNest, box, params, layout: _ArrayLayout,
-               vdims: Optional[tuple[int, ...]] = None
-               ) -> tuple[list[str], int]:
+               vdims: Optional[tuple[int, ...]] = None, bounds=None,
+               extents=None) -> tuple[list[str], int]:
     """C lines executing every iteration of ``nest`` inside ``box``.
 
     Returns (lines, scratch doubles needed).  Empty boxes produce no
-    code, like :func:`emitpy.emit_box`.
+    code, like :func:`emitpy.emit_box`.  ``bounds``/``extents``: see
+    :class:`_CBoxCtx`.
     """
     if any(hi < lo for lo, hi in box):
         return [], 0
@@ -439,15 +482,11 @@ def emit_box_c(nest: LoopNest, box, params, layout: _ArrayLayout,
 
         vdims = vector_dims(nest)
     sdims = [d for d in range(nest.depth) if d not in vdims]
-    ctx = _CBoxCtx(nest, box, vdims, params, layout)
+    ctx = _CBoxCtx(nest, box, vdims, params, layout, bounds, extents)
     out: list[str] = ["{"]
     depth = 1
     for d in sdims:
-        lo, hi = box[d]
-        var = f"v_{nest.loops[d].var}"
-        out.append(
-            f"{IND * depth}for (long {var} = {lo}; {var} <= {hi}; {var}++) {{"
-        )
+        out.append(ctx.loop_line(d, depth))
         depth += 1
     scratch = 0
     for stmt in nest.body:
@@ -480,45 +519,105 @@ def _stride_lines(arrays: set[str], layout: _ArrayLayout) -> list[str]:
     return lines
 
 
-def _phase_function_c(name: str, chunks, params, nest_vdims,
-                      layout: _ArrayLayout) -> tuple[list[str], int]:
-    """One processor-phase function from (nest_idx, nest, box) chunks.
+class _Phase:
+    """One processor-phase function under construction: body lines,
+    iteration count, arrays touched and scratch doubles needed."""
 
-    Returns (lines, iteration count).  Phase functions return 0 on
-    success, nonzero on scratch-allocation failure.
-    """
-    body: list[str] = []
-    count = 0
-    arrays: set[str] = set()
-    scratch = 0
-    for nest_idx, nest, box in chunks:
-        lines, need = emit_box_c(nest, box, params, layout,
-                                 vdims=nest_vdims[nest_idx])
-        if not lines:
-            continue
-        count += _box_volume(box)
-        scratch = max(scratch, need)
-        arrays |= nest.arrays()
-        body.append(f"{IND}/* nest {nest_idx} box={box} */")
-        body.extend(f"{IND}{line}" for line in lines)
-    out = [f"static int {name}(double **A, const long *D) {{"]
-    if body:
-        out.append(f"{IND}(void)A; (void)D;")
-        out.extend(_stride_lines(arrays, layout))
-        if scratch:
-            out.append(
-                f"{IND}double *_buf = (double *)malloc({scratch} * "
-                f"sizeof(double));"
-            )
-            out.append(f"{IND}if (!_buf) return 1;")
-        out.extend(body)
-        if scratch:
-            out.append(f"{IND}free(_buf);")
-    else:
-        out.append(f"{IND}(void)A; (void)D;")
-    out.append(f"{IND}return 0;")
-    out.append("}")
-    return out, count
+    def __init__(self, params, nest_vdims, layout: _ArrayLayout) -> None:
+        self.params = params
+        self.nest_vdims = nest_vdims
+        self.layout = layout
+        self.body: list[str] = []
+        self.count = 0
+        self.arrays: set[str] = set()
+        self.scratch = 0
+
+    def box_lines(self, nest_idx: int, nest: LoopNest, box,
+                  bounds=None, extents=None) -> list[str]:
+        lines, need = emit_box_c(nest, box, self.params, self.layout,
+                                 vdims=self.nest_vdims[nest_idx],
+                                 bounds=bounds, extents=extents)
+        if lines:
+            self.scratch = max(self.scratch, need)
+            self.arrays |= nest.arrays()
+        return lines
+
+    def add_boxes(self, chunks) -> None:
+        """Each (nest_idx, nest, box) chunk as one literal loop nest."""
+        for nest_idx, nest, box in chunks:
+            lines = self.box_lines(nest_idx, nest, box)
+            if not lines:
+                continue
+            self.count += _box_volume(box)
+            self.body.append(f"{IND}/* nest {nest_idx} box={box} */")
+            self.body.extend(f"{IND}{line}" for line in lines)
+
+    def add_tiles(self, proc, nests: Sequence[LoopNest], plan_depth: int,
+                  shifts, strip: int) -> None:
+        """The strip-mined fused block (paper Fig. 12) as C tile loops.
+
+        Mirrors :func:`~repro.runtime.parallel.fused_tile_boxes`:
+        position-space tiles of ``strip`` in lexicographic order and,
+        per tile, the nests in sequence order, each clamped to its fused
+        box with ``repro_max``/``repro_min`` (a nest missing from a tile
+        gets an empty range, and its loops run zero times).  Source size
+        grows with the number of nests, not tiles.  Hazard analysis runs
+        over the whole fused box, which contains every tile's box.
+        """
+        from ..runtime.parallel import fused_position_extent
+
+        extent = fused_position_extent(proc, plan_depth, len(nests), shifts)
+        if extent is None:
+            return
+        depth = 1
+        for d, (lo, hi) in enumerate(extent):
+            self.body.append(f"{IND * depth}for (long _t{d} = {lo}; "
+                             f"_t{d} <= {hi}; _t{d} += {strip}) {{")
+            depth += 1
+        for k, nest in enumerate(nests):
+            fused = tuple(proc.fused[k])
+            clamps: list[str] = []
+            bounds = [(str(lo), str(hi)) for lo, hi in fused]
+            extents = [max(0, hi - lo + 1) for lo, hi in fused]
+            for d in range(plan_depth):
+                s = shifts(k, d)
+                lo, hi = fused[d]
+                clamps.append(
+                    f"const long _l{d} = repro_max({lo}, _t{d} + {-s}), "
+                    f"_h{d} = repro_min({hi}, _t{d} + {strip - 1 - s});"
+                )
+                bounds[d] = (f"_l{d}", f"_h{d}")
+                extents[d] = min(strip, extents[d])
+            lines = self.box_lines(k, nest, fused, bounds, extents)
+            if not lines:
+                continue
+            self.count += _box_volume(fused)
+            self.body.append(f"{IND * depth}{{ /* nest {k} fused={fused} */")
+            self.body.extend(f"{IND * (depth + 1)}{c}" for c in clamps)
+            self.body.extend(f"{IND * (depth + 1)}{line}" for line in lines)
+            self.body.append(f"{IND * depth}}}")
+        for level in range(depth - 1, 0, -1):
+            self.body.append(f"{IND * level}}}")
+
+    def function_c(self, name: str) -> list[str]:
+        """The phase as a C function returning 0 on success, nonzero on
+        scratch-allocation failure."""
+        out = [f"static int {name}(double **A, const long *D) {{",
+               f"{IND}(void)A; (void)D;"]
+        if self.count:
+            out.extend(_stride_lines(self.arrays, self.layout))
+            if self.scratch:
+                out.append(
+                    f"{IND}double *_buf = (double *)malloc({self.scratch} * "
+                    f"sizeof(double));"
+                )
+                out.append(f"{IND}if (!_buf) return 1;")
+            out.extend(self.body)
+            if self.scratch:
+                out.append(f"{IND}free(_buf);")
+        out.append(f"{IND}return 0;")
+        out.append("}")
+        return out
 
 
 def _long_array(name: str, values: Sequence[int]) -> str:
@@ -537,7 +636,6 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
     """
     from ..core.syncdeps import peel_predecessors
     from ..runtime.fastexec import _sorted_rects, vector_dims
-    from ..runtime.parallel import fused_tile_boxes
 
     plan = exec_plan.plan
     nests = list(plan.seq)
@@ -562,31 +660,35 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
     peeled_names: list[str] = []
     fused_counts: list[int] = []
     peeled_counts: list[int] = []
+    if strip is not None:
+        lines.extend([
+            "static inline long repro_max(long a, long b) "
+            "{ return a > b ? a : b; }",
+            "static inline long repro_min(long a, long b) "
+            "{ return a < b ? a : b; }",
+            "",
+        ])
     for p, proc in enumerate(exec_plan.processors):
+        fused = _Phase(params, nest_vdims, layout)
         if strip is None:
-            chunks = [(k, nests[k], tuple(proc.fused[k]))
-                      for k in range(len(nests))]
+            fused.add_boxes((k, nests[k], tuple(proc.fused[k]))
+                            for k in range(len(nests)))
         else:
-            chunks = [(k, nests[k], box)
-                      for k, box in fused_tile_boxes(proc, plan.depth, nests,
-                                                     plan.shift, strip)]
+            fused.add_tiles(proc, nests, plan.depth, plan.shift, strip)
         name = f"_fused_p{p}"
-        src, count = _phase_function_c(name, chunks, params, nest_vdims,
-                                       layout)
-        lines.extend(src)
+        lines.extend(fused.function_c(name))
         lines.append("")
         fused_names.append(name)
-        fused_counts.append(count)
+        fused_counts.append(fused.count)
 
-        rect_chunks = [(rect.nest_idx, nests[rect.nest_idx], rect.ranges)
-                       for rect in _sorted_rects(proc)]
+        peeled = _Phase(params, nest_vdims, layout)
+        peeled.add_boxes((rect.nest_idx, nests[rect.nest_idx], rect.ranges)
+                         for rect in _sorted_rects(proc))
         name = f"_peeled_p{p}"
-        src, count = _phase_function_c(name, rect_chunks, params, nest_vdims,
-                                       layout)
-        lines.extend(src)
+        lines.extend(peeled.function_c(name))
         lines.append("")
         peeled_names.append(name)
-        peeled_counts.append(count)
+        peeled_counts.append(peeled.count)
 
     deps = peel_predecessors(exec_plan)
     offsets = [0]

@@ -45,7 +45,9 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: signature's on-disk directory name so stale cache trees are never read.
 #: v3: modules additionally carry ``PEEL_DEPS`` — the per-processor
 #: point-to-point predecessor map consumed by the mpjit pool.
-CODEGEN_VERSION = 3
+#: v4: native modules run stride-1 loops innermost and emit the
+#: strip-mined fused phase as a C tile loop.
+CODEGEN_VERSION = 4
 
 IND = "    "
 

@@ -26,6 +26,29 @@ WorkItem = tuple[int, tuple[int, ...]]  # (nest_idx, iteration vector)
 Box = tuple[tuple[int, int], ...]  # inclusive (lo, hi) per nest dimension
 
 
+def fused_position_extent(
+    proc: ProcessorPlan, plan_depth: int, num_nests: int, shifts,
+) -> Optional[Box]:
+    """Position-space extent of one processor's fused block: per fused
+    dimension, the union over nests of the fused range shifted into
+    position space.  None when some dimension is empty for every nest
+    (the fused block then has no iterations)."""
+    pos_lo = [None] * plan_depth
+    pos_hi = [None] * plan_depth
+    for k in range(num_nests):
+        for d in range(plan_depth):
+            lo, hi = proc.fused[k][d]
+            if hi < lo:
+                continue
+            s = shifts(k, d)
+            plo, phi = lo + s, hi + s
+            pos_lo[d] = plo if pos_lo[d] is None else min(pos_lo[d], plo)
+            pos_hi[d] = phi if pos_hi[d] is None else max(pos_hi[d], phi)
+    if any(lo is None for lo in pos_lo):
+        return None
+    return tuple(zip(pos_lo, pos_hi))
+
+
 def fused_tile_boxes(
     proc: ProcessorPlan, plan_depth: int, nests: Sequence[LoopNest],
     shifts, strip: int = 4,
@@ -36,24 +59,10 @@ def fused_tile_boxes(
     the nest's original-iteration rectangle inside the tile, extended with
     the full range of the nest's non-fused inner dimensions."""
     ndims = plan_depth
-    # Position-space extent of this processor: union over nests of
-    # (fused range shifted into position space).
-    pos_lo = [None] * ndims
-    pos_hi = [None] * ndims
-    for k in range(len(nests)):
-        for d in range(ndims):
-            lo, hi = proc.fused[k][d]
-            if hi < lo:
-                continue
-            s = shifts(k, d)
-            plo, phi = lo + s, hi + s
-            pos_lo[d] = plo if pos_lo[d] is None else min(pos_lo[d], plo)
-            pos_hi[d] = phi if pos_hi[d] is None else max(pos_hi[d], phi)
-    if any(lo is None for lo in pos_lo):
+    extent = fused_position_extent(proc, ndims, len(nests), shifts)
+    if extent is None:
         return
-    tile_starts = [
-        range(pos_lo[d], pos_hi[d] + 1, strip) for d in range(ndims)
-    ]
+    tile_starts = [range(lo, hi + 1, strip) for lo, hi in extent]
     for tile in itertools.product(*tile_starts):
         for k, nest in enumerate(nests):
             ranges = []

@@ -135,3 +135,59 @@ def copy_arrays(arrays):
 
 def arrays_equal(a, b):
     return all(np.allclose(a[k], b[k]) for k in a)
+
+
+def kernel_plans(kernel, n, procs):
+    """Build per-sequence execution plans and seeded arrays for a kernel."""
+    from repro.core import (
+        FusionLegalityError,
+        build_execution_plan,
+        derive_shift_peel,
+        max_processors,
+    )
+    from repro.kernels import get_kernel
+
+    info = get_kernel(kernel)
+    program = info.program()
+    params = {p: n for p in program.params}
+    if "p" in params:
+        params["p"] = 4
+    rng = np.random.default_rng(3)
+    base = {
+        d.name: rng.random(d.concrete_shape(params)) + 1.0
+        for d in program.arrays
+    }
+    plans = []
+    for seq in program.sequences:
+        plan = derive_shift_peel(seq, tuple(program.params), seq.fusable_depth())
+        legal = max_processors(plan, params)[0]
+        for nprocs in (min(procs, legal), 1):
+            try:
+                plans.append(build_execution_plan(plan, params, num_procs=nprocs))
+                break
+            except FusionLegalityError:
+                continue
+        # A sequence whose plan is illegal even on one processor at this
+        # problem size (Theorem 1) is skipped; other sequences still run.
+    if not plans:
+        pytest.skip(f"{kernel}: no sequence legal at n={n}")
+    return base, plans
+
+
+def run_plans(plans, arrays, backend, **kw):
+    """Run each plan through ``backend``; return the summed counters."""
+    from repro.runtime import get_backend
+
+    totals = {"fused_iterations": 0, "peeled_iterations": 0}
+    be = get_backend(backend)
+    for ep in plans:
+        stats = be.run(ep, arrays, **kw)
+        for key in totals:
+            totals[key] += stats[key]
+    return totals
+
+
+def assert_identical(reference, candidate, context):
+    """Every array bitwise equal (``np.array_equal``, not allclose)."""
+    for name in reference:
+        assert np.array_equal(reference[name], candidate[name]), (context, name)

@@ -20,14 +20,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import copy_arrays
+from conftest import assert_identical, copy_arrays, kernel_plans, run_plans
 
-from repro.core import (
-    FusionLegalityError,
-    build_execution_plan,
-    derive_shift_peel,
-    max_processors,
-)
+from repro.core import build_execution_plan, derive_shift_peel
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.kernels import all_kernels, get_kernel
 from repro.runtime import (
@@ -45,58 +40,14 @@ from repro.runtime import (
 KERNEL_NAMES = sorted(info.name for info in all_kernels())
 
 
-def _setup(kernel, n, procs):
-    """Build per-sequence execution plans and seeded arrays for a kernel."""
-    info = get_kernel(kernel)
-    program = info.program()
-    params = {p: n for p in program.params}
-    if "p" in params:
-        params["p"] = 4
-    rng = np.random.default_rng(3)
-    base = {
-        d.name: rng.random(d.concrete_shape(params)) + 1.0
-        for d in program.arrays
-    }
-    plans = []
-    for seq in program.sequences:
-        plan = derive_shift_peel(seq, tuple(program.params), seq.fusable_depth())
-        legal = max_processors(plan, params)[0]
-        for nprocs in (min(procs, legal), 1):
-            try:
-                plans.append(build_execution_plan(plan, params, num_procs=nprocs))
-                break
-            except FusionLegalityError:
-                continue
-        # A sequence whose plan is illegal even on one processor at this
-        # problem size (Theorem 1) is skipped; other sequences still run.
-    if not plans:
-        pytest.skip(f"{kernel}: no sequence legal at n={n}")
-    return base, plans
-
-
-def _run_backend(plans, arrays, backend, **kw):
-    totals = {"fused_iterations": 0, "peeled_iterations": 0}
-    be = get_backend(backend)
-    for ep in plans:
-        stats = be.run(ep, arrays, **kw)
-        for key in totals:
-            totals[key] += stats[key]
-    return totals
-
-
-def _assert_identical(reference, candidate, context):
-    for name in reference:
-        assert np.array_equal(reference[name], candidate[name]), (context, name)
-
-
 class TestAllKernelsAllBackends:
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @pytest.mark.parametrize("n", [13, 21])
     @pytest.mark.parametrize("procs", [1, 3])
     def test_fast_backends_match_interp(self, kernel, n, procs):
-        base, plans = _setup(kernel, n, procs)
+        base, plans = kernel_plans(kernel, n, procs)
         ref = copy_arrays(base)
-        ref_counts = _run_backend(plans, ref, "interp")
+        ref_counts = run_plans(plans, ref, "interp")
         for backend in ("vector", "jit", "mpjit", "cjit"):
             # mpjit: force two pooled workers so the parallel compiled
             # path runs even where os.cpu_count() == 1.  cjit needs no
@@ -105,19 +56,19 @@ class TestAllKernelsAllBackends:
             extra = {"max_workers": 2} if backend == "mpjit" else {}
             for strip in (None, 3):
                 got = copy_arrays(base)
-                counts = _run_backend(plans, got, backend, strip=strip,
+                counts = run_plans(plans, got, backend, strip=strip,
                                       **extra)
-                _assert_identical(ref, got, (backend, kernel, n, procs, strip))
+                assert_identical(ref, got, (backend, kernel, n, procs, strip))
                 assert counts == ref_counts, (backend, kernel, n, procs, strip)
 
     @pytest.mark.parametrize("kernel", ["jacobi", "ll18"])
     def test_mp_matches_interp(self, kernel):
-        base, plans = _setup(kernel, 21, 3)
+        base, plans = kernel_plans(kernel, 21, 3)
         ref = copy_arrays(base)
-        ref_counts = _run_backend(plans, ref, "interp")
+        ref_counts = run_plans(plans, ref, "interp")
         got = copy_arrays(base)
-        counts = _run_backend(plans, got, "mp", max_workers=2)
-        _assert_identical(ref, got, (kernel, "mp"))
+        counts = run_plans(plans, got, "mp", max_workers=2)
+        assert_identical(ref, got, (kernel, "mp"))
         assert counts == ref_counts
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -125,35 +76,35 @@ class TestAllKernelsAllBackends:
         """Point-to-point neighbor sync must be bitwise indistinguishable
         from the global barrier (and the interpreter) — the sync mode may
         only change *when* a peeled phase starts, never what it computes."""
-        base, plans = _setup(kernel, 21, 3)
+        base, plans = kernel_plans(kernel, 21, 3)
         ref = copy_arrays(base)
-        ref_counts = _run_backend(plans, ref, "interp")
+        ref_counts = run_plans(plans, ref, "interp")
         for sync in ("p2p", "barrier"):
             got = copy_arrays(base)
-            counts = _run_backend(plans, got, "mpjit", max_workers=2,
+            counts = run_plans(plans, got, "mpjit", max_workers=2,
                                   sync=sync)
-            _assert_identical(ref, got, (kernel, "mpjit", sync))
+            assert_identical(ref, got, (kernel, "mpjit", sync))
             assert counts == ref_counts, (kernel, sync)
 
     @pytest.mark.parametrize("kernel", ["jacobi", "ll18"])
     def test_mp_sync_modes_bit_identical(self, kernel):
-        base, plans = _setup(kernel, 21, 3)
+        base, plans = kernel_plans(kernel, 21, 3)
         ref = copy_arrays(base)
-        _run_backend(plans, ref, "interp")
+        run_plans(plans, ref, "interp")
         for sync in ("p2p", "barrier"):
             got = copy_arrays(base)
-            _run_backend(plans, got, "mp", max_workers=2, sync=sync)
-            _assert_identical(ref, got, (kernel, "mp", sync))
+            run_plans(plans, got, "mp", max_workers=2, sync=sync)
+            assert_identical(ref, got, (kernel, "mp", sync))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_mp_matches_interp_all_kernels(self, kernel):
-        base, plans = _setup(kernel, 21, 4)
+        base, plans = kernel_plans(kernel, 21, 4)
         ref = copy_arrays(base)
-        _run_backend(plans, ref, "interp")
+        run_plans(plans, ref, "interp")
         got = copy_arrays(base)
-        _run_backend(plans, got, "mp", max_workers=2)
-        _assert_identical(ref, got, (kernel, "mp"))
+        run_plans(plans, got, "mp", max_workers=2)
+        assert_identical(ref, got, (kernel, "mp"))
 
 
 def _seq_1d():
@@ -210,7 +161,7 @@ class TestDegenerateRanges:
                             ("cjit", {}), ("cjit", {"strip": 2})):
             got = copy_arrays(base)
             counts = get_backend(backend).run(ep, got, **kw)
-            _assert_identical(ref, got, (backend, n))
+            assert_identical(ref, got, (backend, n))
             assert counts == ref_counts
 
     @pytest.mark.parametrize(
@@ -231,7 +182,7 @@ class TestDegenerateRanges:
                             ("cjit", {}), ("cjit", {"strip": 2})):
             got = copy_arrays(base)
             counts = get_backend(backend).run(ep, got, **kw)
-            _assert_identical(ref, got, (backend, fused_range))
+            assert_identical(ref, got, (backend, fused_range))
             assert counts == ref_counts
         if fused_range == (5, 4):
             assert ref_counts["fused_iterations"] == 0
@@ -263,7 +214,7 @@ class TestExecBoxAccessPatterns:
                 st.execute(env, expected)
         got = copy_arrays(arrays)
         count = exec_box(nest, box, params, got)
-        _assert_identical(expected, got, nest.name)
+        assert_identical(expected, got, nest.name)
         sizes = 1
         for lo, hi in box:
             sizes *= max(0, hi - lo + 1)

@@ -8,16 +8,27 @@ signature+fingerprint ``.so`` cache levels, the pool worker's
 native-before-source resolution, the jit fallback when no compiler
 exists (checksums must not move, the counter must), and the quarantine
 coupling: a corrupt ``.py`` source takes its ``.so``/``.c`` siblings
-with it, and a corrupt ``.so`` is never re-dlopened.
+with it, and a corrupt ``.so`` is never re-dlopened.  It also holds the
+native tier's own loop structure to the interpreter bitwise: the
+strip-mined tile loop at every strip, the stride-1 loop reordering on
+generated nests, and FMA contraction under ``-mfma``.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import copy_arrays
+from conftest import assert_identical, copy_arrays, kernel_plans, run_plans
 
 from repro.codegen import emitc
-from repro.core import build_execution_plan, derive_shift_peel
+from repro.core import (
+    FusionLegalityError,
+    build_execution_plan,
+    derive_shift_peel,
+    max_processors,
+)
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.runtime.backend import checksum, get_backend
 from repro.runtime.plancache import PlanCache, default_cache
@@ -299,3 +310,176 @@ class TestCliNarration:
         captured = capsys.readouterr()
         assert "native tier: fell back to jit" in captured.out
         assert "no C compiler" in captured.out
+
+
+PAPER_AND_APPS = ["jacobi", "ll18", "calc", "filter",
+                  "hydro2d", "spem", "tomcatv"]
+
+
+@needs_cc
+class TestStripMinedTileLoop:
+    """The strip-mined fused phase is a C tile loop (paper Fig. 12);
+    every strip, including strips below the kernel's largest shift, must
+    reproduce the interpreter's tile order bit for bit."""
+
+    @pytest.mark.parametrize("kernel", PAPER_AND_APPS)
+    def test_strips_match_interp_bitwise(self, kernel):
+        base, plans = kernel_plans(kernel, 21, 3)
+        for strip in (1, 2, 3, 8):
+            ref = copy_arrays(base)
+            ref_counts = run_plans(plans, ref, "interp", strip=strip)
+            got = copy_arrays(base)
+            counts = run_plans(plans, got, "cjit", strip=strip)
+            assert_identical(ref, got, (kernel, strip))
+            assert counts == ref_counts, (kernel, strip)
+        assert emitc.fallback_stats()["count"] == 0
+
+    def test_source_size_independent_of_tile_count(self):
+        """Source grows with the number of nests, not of tiles: jacobi at
+        strip=4 has ~64x more tiles per processor at n=511 than at n=65."""
+        sizes = []
+        for n in (65, 511):
+            _, plans = kernel_plans("jacobi", n, 4)
+            sizes.append(len(emitc.emit_plan_c_source(plans[0], strip=4)))
+        assert sizes[1] < 2 * sizes[0], sizes
+
+
+def _cpu_has_fma() -> bool:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return any(line.startswith("flags") and "fma" in line.split()
+               for line in text.splitlines())
+
+
+@needs_cc
+class TestFmaContraction:
+    """``-ffp-contract=off`` keeps ``a*b+c`` two roundings even where the
+    compiler may emit FMA: with ``-mfma`` added, ll18 and calc (whose
+    statements multiply then add) must still match the interpreter."""
+
+    @pytest.mark.parametrize("kernel", ["ll18", "calc"])
+    def test_mfma_build_matches_interp(self, kernel, monkeypatch, tmp_path):
+        if not _cpu_has_fma():
+            pytest.skip("CPU lacks FMA")
+        monkeypatch.setattr(emitc, "CFLAGS", emitc.CFLAGS + ("-mfma",))
+        try:
+            emitc.compile_c("int probe;\n", tmp_path / "probe.so")
+        except emitc.CJitCompileError:
+            pytest.skip("compiler rejects -mfma")
+        base, plans = kernel_plans(kernel, 65, 4)
+        ref = copy_arrays(base)
+        run_plans(plans, ref, "interp")
+        got = copy_arrays(base)
+        for ep in plans:
+            emitc.compile_plan_native(ep).run(got)
+        assert_identical(ref, got, kernel)
+
+
+# ---------------------------------------------------------------------------
+# Generated adversarial nests for the stride-1 loop reordering.
+# ---------------------------------------------------------------------------
+
+LOOP_VARS = ("i", "j", "k")
+
+
+def _subscripts(perm, offsets=None, strided=None):
+    """Subscript ``c * var[perm[p]] + offsets[p]`` at each position p,
+    with ``c`` = 2 for the loop dimension ``strided`` and 1 otherwise."""
+    offsets = offsets or (0,) * len(perm)
+    return tuple(Affine.var(LOOP_VARS[d]) * (2 if d == strided else 1) + off
+                 for d, off in zip(perm, offsets))
+
+
+@st.composite
+def layout_nests(draw):
+    """A 2-D or 3-D sequence whose subscripts permute the loop variables.
+
+    Nest ``L1`` writes ``a`` under a random permutation, reading ``b``
+    under another (transposed) one and ``a`` itself at +/-1 offsets
+    along every loop but the outermost, which shift-and-peel fuses and
+    so must stay a true doall.  A loop is ``parallel=False`` when a
+    self-read offsets its variable (the flag then tells the truth) or
+    at random.  Uniform self-reads make their dimension carry a
+    dependence, so it runs as an ordered scalar loop; to reach the
+    buffered path, an inner loop may instead index ``a`` with stride 2
+    and the self-reads hit the odd elements between the even ones it
+    writes: no dependence, yet ranges the hazard analysis cannot
+    separate.  An optional ``L2`` writes ``c`` under a third
+    permutation from ``a`` at offsets, so the plan shifts and peels.
+    """
+    depth = draw(st.sampled_from([2, 3]))
+    perms = st.permutations(range(depth))
+    offsets = st.tuples(*[st.integers(-1, 1)] * depth)
+    target, source, consumer_target = draw(perms), draw(perms), draw(perms)
+    strided = draw(st.sampled_from([None, *range(1, depth)]))
+    self_reads = draw(st.lists(offsets, max_size=2))
+    source_offsets = draw(offsets)
+    consumer_reads = draw(st.lists(offsets, max_size=2))
+    sequential = draw(st.lists(st.booleans(), min_size=depth,
+                               max_size=depth))
+    sequential[0] = False  # shift-and-peel fuses only doall loops
+    self_reads = [
+        tuple(0 if d == 0 else 2 * off + 1 if d == strided else off
+              for d, off in zip(target, offs))
+        for offs in self_reads
+    ]
+    for offs in self_reads:
+        for d, off in zip(target, offs):
+            if off and d != strided:
+                sequential[d] = True
+    consumer_reads = [
+        tuple(2 * off if d == strided else off
+              for d, off in zip(target, offs))
+        for offs in consumer_reads
+    ]
+    n = Affine.var("n")
+    loops = tuple(Loop.make(LOOP_VARS[d], 1, n - 2,
+                            parallel=not sequential[d])
+                  for d in range(depth))
+    rhs = load("b", *_subscripts(source, source_offsets)) * 0.5
+    for offs in self_reads:
+        rhs = rhs + load("a", *_subscripts(target, offs, strided))
+    nests = [LoopNest(loops, (assign("a", _subscripts(target, None, strided),
+                                     rhs),), name="L1")]
+    if consumer_reads:
+        rhs = None
+        for offs in consumer_reads:
+            term = load("a", *_subscripts(target, offs, strided))
+            rhs = term if rhs is None else rhs - term
+        nests.append(LoopNest(
+            loops, (assign("c", _subscripts(consumer_target), rhs * 1.5),),
+            name="L2",
+        ))
+    return LoopSequence(tuple(nests), name="layout"), depth
+
+
+@needs_cc
+class TestGeneratedNests:
+    @given(layout_nests(), st.integers(5, 9), st.integers(1, 3),
+           st.sampled_from([None, 1, 2, 3]), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cjit_matches_interp_bitwise(self, case, n, procs, strip, seed):
+        seq, depth = case
+        plan = derive_shift_peel(seq, ("n",), seq.fusable_depth())
+        params = {"n": n}
+        procs = min(procs, max_processors(plan, params)[0])
+        try:
+            ep = build_execution_plan(plan, params, num_procs=procs)
+        except FusionLegalityError:
+            ep = build_execution_plan(plan, params, num_procs=1)
+        rng = np.random.default_rng(seed)
+        # stride-2 subscripts reach index 2n - 1
+        base = {name: rng.random((2 * n,) * depth) + 0.5 for name in "abc"}
+        ref = copy_arrays(base)
+        # strip=None is one tile per processor: the whole fused box
+        ref_counts = get_backend("interp").run(
+            ep, ref, strip=strip if strip is not None else n,
+        )
+        got = copy_arrays(base)
+        counts = get_backend("cjit").run(ep, got, strip=strip, no_cache=True)
+        assert emitc.fallback_stats()["count"] == 0
+        assert counts == ref_counts
+        assert_identical(ref, got, (str(seq), n, procs, strip))
